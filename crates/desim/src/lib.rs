@@ -26,5 +26,5 @@ pub mod time;
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use journal::{crc32, Divergence, Journal, JournalDecodeError, JournalEntry, JournalEvent};
 pub use queue::{EventId, EventQueue};
-pub use share::{ProgressSet, ProgressView};
+pub use share::ProgressSet;
 pub use time::{SimDuration, SimTime};

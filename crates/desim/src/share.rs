@@ -20,14 +20,15 @@
 //! (O(1)); a job's remaining work is *settled* — materialized against the
 //! clock — only when that job's own rate changes, when it is removed, or
 //! when it completes. Between settlements the remaining work is implied by
-//! `settled_remaining − rate·(now − settled_at)`. Completions come from a
-//! min-heap of announced finish times with generation-stamped entries, so
-//! neither advancing time nor finding the next completion ever scans the
-//! whole job set. Per-event cost is O(jobs whose rate changed), not O(all
-//! jobs in flight).
+//! `settled_remaining − rate·(now − settled_at)`.
+//!
+//! Jobs live in a slab. Every job with an announced finish time owns
+//! exactly one entry in a min-heap of slab slots ordered by `(due, key)`,
+//! and records that entry's position, so a rate change re-sifts the job's
+//! single entry in place (O(log jobs)) and the next completion is a peek.
+//! Neither advancing time nor finding the next completion ever scans the
+//! job set: per-event cost is O(jobs whose rate changed · log jobs).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hash::Hash;
 
 use crate::fxhash::FxHashMap;
@@ -37,46 +38,21 @@ use crate::time::{SimDuration, SimTime};
 /// left over by rate changes.
 const WORK_EPS: f64 = 1e-6;
 
-/// Completion-heap size (relative to the live job count) beyond which stale
-/// entries are compacted away.
-const COMPACT_MIN: usize = 64;
+/// `Job::pos` of a job without an announced completion (stalled at rate 0).
+const UNANNOUNCED: usize = usize::MAX;
 
 #[derive(Clone, Copy, Debug)]
-struct Job {
+struct Job<K> {
+    key: K,
     /// Remaining work at `settled_at`.
     remaining: f64,
     rate: f64,
     /// Time at which `remaining` was last materialized.
     settled_at: SimTime,
-    /// Stamp identifying the job's current (rate, remaining) epoch; heap
-    /// entries carrying an older stamp are stale.
-    gen: u64,
-}
-
-/// Announced completion: ordered by (time, key) so ties break by smallest
-/// key, matching the deterministic ordering the engines rely on.
-#[derive(Clone, Copy)]
-struct Completion<K> {
-    time: SimTime,
-    key: K,
-    gen: u64,
-}
-
-impl<K: Eq> PartialEq for Completion<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key && self.gen == other.gen
-    }
-}
-impl<K: Eq> Eq for Completion<K> {}
-impl<K: Ord> PartialOrd for Completion<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: Ord> Ord for Completion<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, &self.key, self.gen).cmp(&(other.time, &other.key, other.gen))
-    }
+    /// Announced completion time; meaningful while `pos != UNANNOUNCED`.
+    due: SimTime,
+    /// Index of this job's entry in the completion heap, or `UNANNOUNCED`.
+    pos: usize,
 }
 
 /// A set of jobs draining remaining work at assigned rates.
@@ -85,16 +61,27 @@ impl<K: Ord> Ord for Completion<K> {
 /// deterministically regardless of hash-map iteration order.
 #[derive(Clone)]
 pub struct ProgressSet<K: Eq + Hash + Copy + Ord> {
-    jobs: FxHashMap<K, Job>,
-    completions: BinaryHeap<Reverse<Completion<K>>>,
+    /// Key → slab slot of every live job.
+    index: FxHashMap<K, usize>,
+    /// Job slab; vacant slots are listed in `free`.
+    slots: Vec<Job<K>>,
+    free: Vec<usize>,
+    /// Min-heap of the slots of announced jobs, ordered by `(due, key)`.
+    heap: Vec<usize>,
     last: SimTime,
-    next_gen: u64,
 }
 
 impl<K: Eq + Hash + Copy + Ord + std::fmt::Debug> std::fmt::Debug for ProgressSet<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProgressSet")
-            .field("jobs", &self.jobs)
+            .field(
+                "jobs",
+                &self
+                    .index
+                    .values()
+                    .map(|&s| &self.slots[s])
+                    .collect::<Vec<_>>(),
+            )
             .field("last", &self.last)
             .finish_non_exhaustive()
     }
@@ -106,14 +93,30 @@ impl<K: Eq + Hash + Copy + Ord> Default for ProgressSet<K> {
     }
 }
 
+/// `x.round().max(1.0)` as an integer, or `None` when that does not fit
+/// below 2⁶⁴ — for `x ≥ 0`, bit-for-bit what `f64::round` (round half away
+/// from zero) gives, without the libm call. Doubles at or above 2⁵² are
+/// already integers; below it truncation and the fractional part are exact.
+fn round_ns(x: f64) -> Option<u64> {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    const TWO_64: f64 = 18_446_744_073_709_551_616.0;
+    if x >= TWO_52 {
+        return (x < TWO_64).then_some(x as u64);
+    }
+    let whole = x as u64;
+    let up = x - whole as f64 >= 0.5;
+    Some((whole + u64::from(up)).max(1))
+}
+
 impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     /// An empty set anchored at time zero.
     pub fn new() -> Self {
         ProgressSet {
-            jobs: FxHashMap::default(),
-            completions: BinaryHeap::new(),
+            index: FxHashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            heap: Vec::new(),
             last: SimTime::ZERO,
-            next_gen: 0,
         }
     }
 
@@ -130,7 +133,7 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     }
 
     /// Remaining work of `job` as of the current clock, without mutating it.
-    fn implied_remaining(&self, job: &Job) -> f64 {
+    fn implied_remaining(&self, job: &Job<K>) -> f64 {
         if job.rate <= 0.0 || self.last <= job.settled_at {
             return job.remaining;
         }
@@ -139,7 +142,7 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     }
 
     /// Materializes `job`'s remaining work at the current clock.
-    fn settle(last: SimTime, job: &mut Job) {
+    fn settle(last: SimTime, job: &mut Job<K>) {
         if job.rate > 0.0 && last > job.settled_at {
             let dt = (last - job.settled_at).as_secs_f64();
             job.remaining = (job.remaining - job.rate * dt).max(0.0);
@@ -147,38 +150,116 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
         job.settled_at = last;
     }
 
-    /// Pushes the completion announcement for a just-settled job, if it has
-    /// one: immediately when already finished, at the rounded drain time
-    /// when running, never when stalled at rate 0.
-    fn announce(&mut self, key: K, gen: u64, remaining: f64, rate: f64) {
-        let time = if Self::finished_at(remaining, rate) {
-            self.last
+    /// Completion time of a just-settled job: now when already finished,
+    /// the drain time rounded to the nearest nanosecond when running, none
+    /// when stalled at rate 0.
+    fn due(&self, remaining: f64, rate: f64) -> Option<SimTime> {
+        if Self::finished_at(remaining, rate) {
+            Some(self.last)
         } else if rate > 0.0 {
             // Round to the nearest nanosecond: the clock cannot resolve
             // finer, and `finished` tolerates up to one nanosecond of
             // residual drain, so nearest-rounding never strands a job.
             let secs = remaining / rate;
-            let ns = (secs * 1e9).round().max(1.0);
-            if ns >= u64::MAX as f64 {
-                return;
-            }
-            self.last + SimDuration::from_nanos(ns as u64)
+            round_ns(secs * 1e9).map(|ns| self.last + SimDuration::from_nanos(ns))
         } else {
-            return;
-        };
-        self.completions
-            .push(Reverse(Completion { time, key, gen }));
-        self.maybe_compact();
+            None
+        }
     }
 
-    /// Drops stale heap entries once they dominate; keeps completion-heap
-    /// memory proportional to the live job count.
-    fn maybe_compact(&mut self) {
-        if self.completions.len() >= COMPACT_MIN && self.completions.len() > 2 * self.jobs.len() {
-            let jobs = &self.jobs;
-            self.completions
-                .retain(|Reverse(c)| jobs.get(&c.key).is_some_and(|j| j.gen == c.gen));
+    /// (Re-)announces a just-settled job: moves, inserts or drops its heap
+    /// entry to match its current remaining work and rate.
+    fn announce(&mut self, slot: usize) {
+        let job = self.slots[slot];
+        let Some(due) = self.due(job.remaining, job.rate) else {
+            self.unannounce(slot);
+            return;
+        };
+        let pos = if job.pos == UNANNOUNCED {
+            self.heap.push(slot);
+            self.heap.len() - 1
+        } else {
+            job.pos
+        };
+        self.slots[slot].due = due;
+        self.slots[slot].pos = pos;
+        self.resift(pos);
+    }
+
+    /// Drops the job in `slot`'s heap entry, if it has one.
+    fn unannounce(&mut self, slot: usize) {
+        let pos = std::mem::replace(&mut self.slots[slot].pos, UNANNOUNCED);
+        if pos == UNANNOUNCED {
+            return;
         }
+        self.heap.swap_remove(pos);
+        if pos < self.heap.len() {
+            self.slots[self.heap[pos]].pos = pos;
+            self.resift(pos);
+        }
+    }
+
+    /// Moves the heap entry at `pos` up or down to its ordered place.
+    fn resift(&mut self, pos: usize) {
+        if !self.sift_up(pos) {
+            self.sift_down(pos);
+        }
+    }
+
+    /// Whether heap slot `a` orders before heap slot `b`.
+    fn before(&self, a: usize, b: usize) -> bool {
+        let (a, b) = (&self.slots[a], &self.slots[b]);
+        (a.due, a.key) < (b.due, b.key)
+    }
+
+    /// Swaps heap entries `i` and `j`, keeping their jobs' positions.
+    fn swap(&mut self, i: usize, j: usize) {
+        self.heap.swap(i, j);
+        self.slots[self.heap[i]].pos = i;
+        self.slots[self.heap[j]].pos = j;
+    }
+
+    /// Restores the heap order upward from `pos`; whether the entry moved.
+    fn sift_up(&mut self, mut pos: usize) -> bool {
+        let start = pos;
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !self.before(self.heap[pos], self.heap[parent]) {
+                break;
+            }
+            self.swap(pos, parent);
+            pos = parent;
+        }
+        pos != start
+    }
+
+    /// Restores the heap order downward from `pos`.
+    fn sift_down(&mut self, mut pos: usize) {
+        loop {
+            let left = 2 * pos + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.before(self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !self.before(self.heap[child], self.heap[pos]) {
+                break;
+            }
+            self.swap(pos, child);
+            pos = child;
+        }
+    }
+
+    /// Drops the job in `slot` from the set.
+    fn vacate(&mut self, slot: usize) {
+        self.unannounce(slot);
+        self.index.remove(&self.slots[slot].key);
+        self.free.push(slot);
     }
 
     /// Adds a job with `work` units remaining and rate 0. Panics if the key
@@ -187,19 +268,27 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     pub fn insert(&mut self, now: SimTime, key: K, work: f64) {
         self.advance_to(now);
         assert!(work >= 0.0, "negative work");
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let prev = self.jobs.insert(
+        let job = Job {
             key,
-            Job {
-                remaining: work,
-                rate: 0.0,
-                settled_at: now,
-                gen,
-            },
-        );
+            remaining: work,
+            rate: 0.0,
+            settled_at: now,
+            due: now,
+            pos: UNANNOUNCED,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = job;
+                slot
+            }
+            None => {
+                self.slots.push(job);
+                self.slots.len() - 1
+            }
+        };
+        let prev = self.index.insert(key, slot);
         assert!(prev.is_none(), "duplicate ProgressSet job key");
-        self.announce(key, gen, work, 0.0);
+        self.announce(slot);
     }
 
     /// Assigns a new drain rate to `key`. The caller is responsible for
@@ -207,74 +296,66 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     pub fn set_rate(&mut self, now: SimTime, key: K, rate: f64) {
         self.advance_to(now);
         assert!(rate >= 0.0 && rate.is_finite(), "invalid rate {rate}");
-        let last = self.last;
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let job = self.jobs.get_mut(&key).expect("set_rate on unknown job");
-        Self::settle(last, job);
+        let slot = *self.index.get(&key).expect("set_rate on unknown job");
+        let job = &mut self.slots[slot];
+        Self::settle(self.last, job);
         job.rate = rate;
-        job.gen = gen; // invalidates any previously announced completion
-        let remaining = job.remaining;
-        self.announce(key, gen, remaining, rate);
+        self.announce(slot);
     }
 
     /// Removes a job, returning its remaining work if it was present.
     pub fn remove(&mut self, now: SimTime, key: K) -> Option<f64> {
         self.advance_to(now);
-        let last = self.last;
-        self.jobs.remove(&key).map(|mut j| {
-            Self::settle(last, &mut j);
-            j.remaining
-        })
+        let slot = *self.index.get(&key)?;
+        Self::settle(self.last, &mut self.slots[slot]);
+        self.vacate(slot); // the vacated slot keeps its contents until reused
+        Some(self.slots[slot].remaining)
     }
 
     /// Remaining work of a job.
     pub fn remaining(&self, key: K) -> Option<f64> {
-        self.jobs.get(&key).map(|j| self.implied_remaining(j))
+        self.index
+            .get(&key)
+            .map(|&s| self.implied_remaining(&self.slots[s]))
     }
 
     /// Current drain rate of a job.
     pub fn rate(&self, key: K) -> Option<f64> {
-        self.jobs.get(&key).map(|j| j.rate)
+        self.index.get(&key).map(|&s| self.slots[s].rate)
     }
 
     /// Whether `key` is a live job.
     pub fn contains(&self, key: K) -> bool {
-        self.jobs.contains_key(&key)
+        self.index.contains_key(&key)
     }
 
     /// Number of live jobs.
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.index.len()
     }
 
     /// Whether no jobs remain.
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.index.is_empty()
     }
 
     /// Iterates over live job keys in unspecified order.
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.jobs.keys().copied()
+        self.index.keys().copied()
     }
 
     /// The earliest time at which some job finishes under current rates,
     /// with its key. Jobs with rate 0 and positive work never finish. Ties
     /// are broken by smallest key.
     ///
-    /// The returned time is rounded *up* to the next nanosecond so that
-    /// advancing to it is guaranteed to drain the job to within the
-    /// internal work epsilon.
-    pub fn earliest_completion(&mut self) -> Option<(K, SimTime)> {
-        loop {
-            let c = *self.completions.peek().map(|Reverse(c)| c)?;
-            if self.jobs.get(&c.key).is_some_and(|j| j.gen == c.gen) {
-                // Announcements never predate the clock by more than
-                // rounding; clamp so callers never see time regress.
-                return Some((c.key, c.time.max(self.last)));
-            }
-            self.completions.pop();
-        }
+    /// The time is the drain time rounded to the nearest nanosecond, which
+    /// advancing to is guaranteed to drain the job to within the internal
+    /// work epsilon; it never precedes the set's clock.
+    pub fn earliest_completion(&self) -> Option<(K, SimTime)> {
+        self.heap.first().map(|&s| {
+            let job = &self.slots[s];
+            (job.key, job.due.max(self.last))
+        })
     }
 
     /// Whether a job counts as finished: fully drained, or within one
@@ -288,30 +369,20 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     pub fn take_finished(&mut self, now: SimTime) -> Vec<K> {
         self.advance_to(now);
         let mut done: Vec<K> = Vec::new();
-        while let Some(Reverse(c)) = self.completions.peek() {
-            if c.time > now {
+        while let Some(&slot) = self.heap.first() {
+            if self.slots[slot].due > now {
                 break;
             }
-            let Reverse(c) = self.completions.pop().expect("just peeked");
-            let Some(job) = self.jobs.get_mut(&c.key) else {
-                continue; // stale: job re-keyed or removed
-            };
-            if job.gen != c.gen {
-                continue; // stale: rate changed since the announcement
-            }
+            let job = &mut self.slots[slot];
             Self::settle(now, job);
             if Self::finished_at(job.remaining, job.rate) {
-                self.jobs.remove(&c.key);
-                done.push(c.key);
+                done.push(job.key);
+                self.vacate(slot);
             } else {
                 // Rounding left residual work (possible only when the rate
                 // dropped between announce and due time in the same
                 // nanosecond); re-announce from the settled state.
-                let gen = self.next_gen;
-                self.next_gen += 1;
-                job.gen = gen;
-                let (remaining, rate) = (job.remaining, job.rate);
-                self.announce(c.key, gen, remaining, rate);
+                self.announce(slot);
             }
         }
         done.sort_unstable();
@@ -323,91 +394,10 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
         self.last
     }
 
-    /// Completion-heap entries currently held, live or stale — an
+    /// Completion-heap entries currently held: one per announced job — an
     /// implementation detail exposed for memory-bound regression tests.
     pub fn completion_heap_len(&self) -> usize {
-        self.completions.len()
-    }
-
-    /// An O(live-state) copy for checkpoint/fork: stale completion-heap
-    /// entries (from rate churn) are compacted away first — unconditionally,
-    /// not via the amortized heuristic — so the snapshot holds exactly one
-    /// announcement per announced job. The copy drains, announces and
-    /// completes identically to the original.
-    pub fn snapshot(&mut self) -> ProgressSet<K> {
-        let jobs = &self.jobs;
-        self.completions
-            .retain(|Reverse(c)| jobs.get(&c.key).is_some_and(|j| j.gen == c.gen));
-        self.clone()
-    }
-
-    /// A read-only view of the set. Engines that overlap computation with
-    /// bookkeeping use views to answer queries (pending work? next
-    /// completion?) from contexts that must not — or cannot, holding only a
-    /// shared borrow — mutate the set.
-    pub fn view(&self) -> ProgressView<'_, K> {
-        ProgressView { set: self }
-    }
-}
-
-/// Immutable query interface over a [`ProgressSet`] (see
-/// [`ProgressSet::view`]).
-///
-/// Everything here is answerable without settling jobs or popping stale
-/// completion-heap entries, so a view never perturbs the set's lazy
-/// accounting. [`earliest_announced`](ProgressView::earliest_announced)
-/// scans the heap instead of draining it: O(heap) worst case versus
-/// `earliest_completion`'s amortized O(stale entries), which is the price of
-/// immutability.
-#[derive(Clone, Copy)]
-pub struct ProgressView<'a, K: Eq + Hash + Copy + Ord> {
-    set: &'a ProgressSet<K>,
-}
-
-impl<K: Eq + Hash + Copy + Ord> ProgressView<'_, K> {
-    /// Number of live jobs.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Whether no jobs remain.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
-    /// Whether `key` is a live job.
-    pub fn contains(&self, key: K) -> bool {
-        self.set.contains(key)
-    }
-
-    /// Remaining work of a job.
-    pub fn remaining(&self, key: K) -> Option<f64> {
-        self.set.remaining(key)
-    }
-
-    /// Current drain rate of a job.
-    pub fn rate(&self, key: K) -> Option<f64> {
-        self.set.rate(key)
-    }
-
-    /// Iterates over live job keys in unspecified order.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.set.keys()
-    }
-
-    /// The earliest announced completion under current rates, with its key
-    /// — the same `(key, time)` that [`ProgressSet::earliest_completion`]
-    /// would return, computed by a read-only scan over the still-valid heap
-    /// entries rather than by popping stale ones. Jobs stalled at rate 0
-    /// with positive work carry no announcement and never appear.
-    pub fn earliest_announced(&self) -> Option<(K, SimTime)> {
-        self.set
-            .completions
-            .iter()
-            .filter(|Reverse(c)| self.set.jobs.get(&c.key).is_some_and(|j| j.gen == c.gen))
-            .map(|Reverse(c)| c)
-            .min()
-            .map(|c| (c.key, c.time.max(self.set.last)))
+        self.heap.len()
     }
 }
 
@@ -528,105 +518,145 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_compacts_and_behaves_identically() {
+    fn clone_after_churn_is_compact_and_behaves_identically() {
         let mut ps = ProgressSet::new();
         for i in 0..8u32 {
             ps.insert(SimTime::ZERO, i, 1e6);
         }
-        // Churn rates so the completion heap accumulates stale entries.
+        // Churn rates: each change re-sifts the job's one heap entry.
         for round in 0..1_000u64 {
             ps.set_rate(t(round), (round % 8) as u32, 1.0 + (round % 5) as f64);
         }
-        let mut snap = ps.snapshot();
-        assert!(
-            snap.completion_heap_len() <= snap.len(),
-            "snapshot kept stale announcements: {} for {} jobs",
-            snap.completion_heap_len(),
-            snap.len()
-        );
+        let mut copy = ps.clone();
+        assert_eq!(copy.completion_heap_len(), copy.len());
         // Identical evolution: same completions at the same instants.
         for step in 0..50u64 {
             let now = t(10_000 + step * 1_000_000_000);
-            assert_eq!(ps.earliest_completion(), snap.earliest_completion());
-            assert_eq!(ps.take_finished(now), snap.take_finished(now));
+            assert_eq!(ps.earliest_completion(), copy.earliest_completion());
+            assert_eq!(ps.take_finished(now), copy.take_finished(now));
         }
-        // Divergence after the snapshot stays independent.
+        // Divergence after the copy stays independent.
         let first = ps.keys().next();
         if let Some(k) = first {
             ps.remove(t(1e18 as u64), k);
-            assert_eq!(snap.len(), ps.len() + 1);
+            assert_eq!(copy.len(), ps.len() + 1);
         }
     }
 
     #[test]
-    fn view_mirrors_set_without_mutation() {
+    fn queries_mirror_set_state() {
         let mut ps = ProgressSet::new();
         ps.insert(SimTime::ZERO, 3u32, 100.0);
         ps.insert(SimTime::ZERO, 7u32, 100.0);
         ps.set_rate(SimTime::ZERO, 7, 50.0);
-        let v = ps.view();
-        assert_eq!(v.len(), 2);
-        assert!(!v.is_empty());
-        assert!(v.contains(3) && v.contains(7) && !v.contains(9));
-        assert_eq!(v.remaining(7), Some(100.0));
-        assert_eq!(v.rate(7), Some(50.0));
-        assert_eq!(v.rate(3), Some(0.0));
-        let mut keys: Vec<u32> = v.keys().collect();
+        assert_eq!(ps.len(), 2);
+        assert!(!ps.is_empty());
+        assert!(ps.contains(3) && ps.contains(7) && !ps.contains(9));
+        assert_eq!(ps.remaining(7), Some(100.0));
+        assert_eq!(ps.rate(7), Some(50.0));
+        assert_eq!(ps.rate(3), Some(0.0));
+        let mut keys: Vec<u32> = ps.keys().collect();
         keys.sort_unstable();
         assert_eq!(keys, vec![3, 7]);
     }
 
     #[test]
-    fn earliest_announced_matches_earliest_completion() {
+    fn earliest_completion_skips_stalled_and_rerated_jobs() {
         let mut ps = ProgressSet::new();
-        // Empty set: both are None.
-        assert_eq!(ps.view().earliest_announced(), None);
         assert_eq!(ps.earliest_completion(), None);
         ps.insert(SimTime::ZERO, 9u32, 100.0);
         ps.insert(SimTime::ZERO, 3u32, 100.0);
         ps.insert(SimTime::ZERO, 5u32, 100.0);
         ps.set_rate(SimTime::ZERO, 9, 100.0);
         ps.set_rate(SimTime::ZERO, 3, 100.0);
-        // Churn job 5 so the heap holds stale entries it must skip.
+        // Job 5 is announced, then stalled: its entry must leave the heap.
         ps.set_rate(SimTime::ZERO, 5, 10.0);
         ps.set_rate(t(1), 5, 0.0);
-        let announced = ps.view().earliest_announced();
-        assert_eq!(announced, ps.earliest_completion());
-        assert_eq!(announced, Some((3, t(1_000_000_000))));
-        // A stalled-only set announces nothing on either path.
+        assert_eq!(ps.completion_heap_len(), 2);
+        assert_eq!(ps.earliest_completion(), Some((3, t(1_000_000_000))));
+        // A stalled-only set announces nothing.
         let mut stalled = ProgressSet::new();
         stalled.insert(SimTime::ZERO, 1u32, 5.0);
-        assert_eq!(stalled.view().earliest_announced(), None);
         assert_eq!(stalled.earliest_completion(), None);
+        assert_eq!(stalled.completion_heap_len(), 0);
     }
 
     #[test]
-    fn earliest_announced_clamps_overdue_completions_to_now() {
+    fn earliest_completion_clamps_overdue_completions_to_now() {
         let mut ps = ProgressSet::new();
         ps.insert(SimTime::ZERO, 1u32, 100.0);
         ps.set_rate(SimTime::ZERO, 1, 100.0); // finishes at 1s
-                                              // Advance past the completion without collecting it: the announced
+                                              // Advance past the completion without collecting it: the reported
                                               // time must clamp to `now`, never lie in the past.
         ps.advance_to(t(2_000_000_000));
-        let announced = ps.view().earliest_announced();
-        assert_eq!(announced, Some((1, t(2_000_000_000))));
-        assert_eq!(announced, ps.earliest_completion());
+        assert_eq!(ps.earliest_completion(), Some((1, t(2_000_000_000))));
     }
 
     #[test]
-    fn earliest_announced_agrees_with_completion_under_heavy_churn() {
+    fn earliest_completion_tracks_announcements_under_heavy_churn() {
         let mut ps = ProgressSet::new();
         for i in 0..4u32 {
             ps.insert(SimTime::ZERO, i, 1000.0);
         }
+        let mut due = [None; 4];
         for round in 0..64u64 {
-            ps.set_rate(t(round), (round % 4) as u32, 1.0 + (round % 7) as f64);
-            // The read-only heap scan (before) must agree with the
-            // stale-popping path (after), every round.
-            let announced = ps.view().earliest_announced();
-            assert_eq!(announced, ps.earliest_completion());
-            assert!(announced.is_some());
+            let now = t(round);
+            let k = (round % 4) as u32;
+            let rate = 1.0 + (round % 7) as f64;
+            ps.set_rate(now, k, rate);
+            // Reference announcement, rounded through libm.
+            let ns = (ps.remaining(k).unwrap() / rate * 1e9).round().max(1.0);
+            due[k as usize] = Some((now + SimDuration::from_nanos(ns as u64), k));
+            let want = due.iter().flatten().min().map(|&(d, k)| (k, d));
+            assert_eq!(ps.earliest_completion(), want, "round {round}");
         }
+    }
+
+    #[test]
+    fn integer_round_matches_libm_round() {
+        use simrng::{Rng, Xoshiro256};
+        let libm = |x: f64| {
+            let r = x.round().max(1.0);
+            (r < u64::MAX as f64).then_some(r as u64)
+        };
+        let two_52 = 4_503_599_627_370_496.0_f64;
+        let mut xs = vec![
+            0.0,
+            1e-300,
+            0.25,
+            0.5,
+            0.49999999999999994,
+            0.9999999999999999,
+            1.5,
+            2.5,
+            2.4999999999999996,
+            2.5000000000000004,
+            1234567.5,
+            1234567.4999999998,
+            two_52 - 0.5,
+            two_52 - 1.5,
+            two_52,
+            two_52 + 2.0,
+            3.0 * two_52,
+            1.8e19,
+            18_446_744_073_709_549_568.0, // largest double below 2^64
+            18_446_744_073_709_551_616.0, // 2^64
+            1e300,
+            f64::INFINITY,
+        ];
+        let mut rng = Xoshiro256::seed_from_u64(0x20D);
+        for _ in 0..10_000 {
+            let x = rng.gen_range_f64(0.0, 1.0);
+            xs.push(x);
+            xs.push(x * 1e9);
+            xs.push((x * 1e6).floor() + 0.5);
+        }
+        for x in xs {
+            assert_eq!(round_ns(x), libm(x), "x = {x:e}");
+        }
+        // [0, 1) clamps to one nanosecond.
+        assert_eq!(round_ns(0.0), Some(1));
+        assert_eq!(round_ns(0.7), Some(1));
     }
 
     #[test]
@@ -639,8 +669,8 @@ mod tests {
             let now = t(round);
             ps.set_rate(now, (round % 8) as u32, 1.0 + (round % 13) as f64);
             assert!(
-                ps.completion_heap_len() <= 2 * ps.len() + COMPACT_MIN,
-                "completion heap grew unbounded: {} entries for {} jobs",
+                ps.completion_heap_len() <= ps.len(),
+                "completion heap outgrew the job set: {} entries for {} jobs",
                 ps.completion_heap_len(),
                 ps.len()
             );
@@ -728,12 +758,27 @@ mod props {
 
     /// The lazy implementation agrees with an eager reference model that
     /// drains every job at every advance, over random operation sequences.
+    /// The model also tracks each job's announced completion (recomputed
+    /// through libm rounding), and `earliest_completion` must name the
+    /// minimum `(due, key)` of that scan — with zero-work jobs and
+    /// identical work/rate pairs supplying plenty of ties.
     #[test]
     fn lazy_matches_eager_reference() {
         #[derive(Clone, Copy)]
         struct Ref {
             remaining: f64,
             rate: f64,
+            due: Option<SimTime>,
+        }
+        fn ref_due(now: SimTime, remaining: f64, rate: f64) -> Option<SimTime> {
+            if remaining <= WORK_EPS || remaining <= rate * 1.5e-9 {
+                Some(now)
+            } else if rate > 0.0 {
+                let ns = (remaining / rate * 1e9).round().max(1.0);
+                (ns < u64::MAX as f64).then(|| now + SimDuration::from_nanos(ns as u64))
+            } else {
+                None
+            }
         }
         let mut rng = Xoshiro256::seed_from_u64(0x1A2);
         for case in 0..128 {
@@ -742,25 +787,39 @@ mod props {
             let mut now = SimTime::ZERO;
             let mut next_key = 0u32;
             for _ in 0..200 {
-                match rng.gen_index(4) {
-                    0 => {
-                        let work = rng.gen_range_f64(0.5, 1e4);
+                let op = rng.gen_index(6);
+                match op {
+                    0 | 4 => {
+                        // Op 4 draws tie-prone work: none at all, or 1000.
+                        let work = if op == 0 {
+                            rng.gen_range_f64(0.5, 1e4)
+                        } else {
+                            1000.0 * rng.gen_index(2) as f64
+                        };
                         ps.insert(now, next_key, work);
                         model.insert(
                             next_key,
                             Ref {
                                 remaining: work,
                                 rate: 0.0,
+                                due: ref_due(now, work, 0.0),
                             },
                         );
                         next_key += 1;
                     }
-                    1 if !model.is_empty() => {
+                    1 | 5 if !model.is_empty() => {
                         let keys: Vec<u32> = model.keys().copied().collect();
                         let k = keys[rng.gen_index(keys.len())];
-                        let rate = rng.gen_range_f64(0.0, 1e4);
+                        let rate = if op == 1 {
+                            rng.gen_range_f64(0.0, 1e4)
+                        } else {
+                            [500.0, 1000.0][rng.gen_index(2)]
+                        };
                         ps.set_rate(now, k, rate);
-                        model.get_mut(&k).unwrap().rate = rate;
+                        let settled = ps.remaining(k).unwrap();
+                        let r = model.get_mut(&k).unwrap();
+                        r.rate = rate;
+                        r.due = ref_due(now, settled, rate);
                     }
                     2 if !model.is_empty() => {
                         let keys: Vec<u32> = model.keys().copied().collect();
@@ -782,10 +841,21 @@ mod props {
                         for k in ps.take_finished(now) {
                             let r = model.remove(&k).unwrap();
                             assert!(
+                                r.due.is_some_and(|d| d <= now),
+                                "case {case}: {k} completed before its announcement"
+                            );
+                            assert!(
                                 r.remaining <= WORK_EPS.max(r.rate * 3e-9) + 1e-6,
                                 "case {case}: premature completion of {k}: {} left",
                                 r.remaining
                             );
+                        }
+                        // Survivors that came due held residual work and
+                        // were re-announced from their settled state.
+                        for (&k, r) in &mut model {
+                            if r.due.is_some_and(|d| d <= now) {
+                                r.due = ref_due(now, ps.remaining(k).unwrap(), r.rate);
+                            }
                         }
                     }
                 }
@@ -797,6 +867,12 @@ mod props {
                         r.remaining
                     );
                 }
+                let want = model
+                    .iter()
+                    .filter_map(|(&k, r)| r.due.map(|d| (d, k)))
+                    .min()
+                    .map(|(d, k)| (k, d.max(now)));
+                assert_eq!(ps.earliest_completion(), want, "case {case}");
             }
         }
     }

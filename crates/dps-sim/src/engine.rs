@@ -30,7 +30,7 @@
 //!   snapshots while every mutation commits serially in ticket order, so
 //!   the run's output is byte-identical to the serial engine's.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -244,6 +244,21 @@ impl Server {
     }
 }
 
+/// One node's processor-sharing state.
+#[derive(Clone, Default)]
+struct NodeCpu {
+    /// Live atomic-step jobs on the node, in no particular order.
+    jobs: Vec<u64>,
+    /// Last processor-sharing rate assigned to the node's jobs; rates are
+    /// only re-pushed into the CPU set when this changes. `None` without
+    /// jobs.
+    rate: Option<f64>,
+    /// The job population changed since the last CPU recompute — the jobs
+    /// need fresh rates even if the per-node rate is unchanged (a new job
+    /// still carries rate 0).
+    dirty: bool,
+}
+
 struct JobInfo {
     server: ServerKey,
     node: NodeId,
@@ -406,14 +421,11 @@ pub(crate) struct Engine<'a> {
 
     cpu: ProgressSet<u64>,
     jobs: FxHashMap<u64, JobInfo>,
-    jobs_by_node: BTreeMap<NodeId, Vec<u64>>,
-    /// Last processor-sharing rate assigned to each node's jobs; rates are
-    /// only re-pushed into `cpu` when this changes.
-    node_rate: FxHashMap<NodeId, f64>,
-    /// Nodes whose job population changed since the last CPU recompute —
-    /// their jobs need fresh rates even if the per-node rate is unchanged
-    /// (a new job still carries rate 0).
-    dirty_nodes: BTreeSet<NodeId>,
+    /// Per-node processor-sharing state, indexed by `NodeId`; grown on a
+    /// node's first job.
+    node_cpu: Vec<NodeCpu>,
+    /// Nodes whose `NodeCpu::dirty` flag is set, each listed once.
+    dirty_nodes: Vec<NodeId>,
     next_job: u64,
 
     /// Recycled empty action buffers (segment bodies, pending queues).
@@ -543,9 +555,8 @@ impl<'a> Engine<'a> {
             edge_seq: vec![0; edge_count],
             cpu: ProgressSet::new(),
             jobs: FxHashMap::default(),
-            jobs_by_node: BTreeMap::new(),
-            node_rate: FxHashMap::default(),
-            dirty_nodes: BTreeSet::new(),
+            node_cpu: Vec::new(),
+            dirty_nodes: Vec::new(),
             next_job: 0,
             action_pool: Vec::new(),
             segment_pool: Vec::new(),
@@ -723,49 +734,68 @@ impl<'a> Engine<'a> {
         // (tracked in `dirty_nodes`) and its communication load (reported
         // by the fabric). When the fabric can enumerate the latter, the
         // per-event cost is O(nodes that changed); otherwise fall back to
-        // scanning every node with jobs.
+        // scanning every node that ever had jobs.
         let mut affected = std::mem::take(&mut self.node_scratch);
         affected.clear();
         if self.fabric.comm_dirty_nodes(&mut affected) {
-            affected.extend(self.dirty_nodes.iter().copied());
+            affected.extend_from_slice(&self.dirty_nodes);
             affected.sort_unstable();
             affected.dedup();
         } else {
             affected.clear();
-            affected.extend(self.jobs_by_node.keys().copied());
+            affected.extend((0..self.node_cpu.len()).map(|i| NodeId(i as u32)));
         }
         for &node in &affected {
             self.update_node_rate(node);
         }
         self.node_scratch = affected;
-        self.dirty_nodes.clear();
+        for node in self.dirty_nodes.drain(..) {
+            self.node_cpu[node.0 as usize].dirty = false;
+        }
+    }
+
+    /// The CPU state of `node`, created empty if new.
+    fn node_cpu_mut(&mut self, node: NodeId) -> &mut NodeCpu {
+        let i = node.0 as usize;
+        if i >= self.node_cpu.len() {
+            self.node_cpu.resize_with(i + 1, NodeCpu::default);
+        }
+        &mut self.node_cpu[i]
+    }
+
+    /// Flags `node`'s job population as changed.
+    fn mark_node_dirty(&mut self, node: NodeId) {
+        let state = self.node_cpu_mut(node);
+        if !state.dirty {
+            state.dirty = true;
+            self.dirty_nodes.push(node);
+        }
     }
 
     /// Recomputes one node's processor-sharing rate and pushes it to the
     /// node's jobs if it moved (or the population changed).
     fn update_node_rate(&mut self, node: NodeId) {
         let now = self.now;
-        let Some(jobs) = self.jobs_by_node.get(&node) else {
-            self.node_rate.remove(&node);
-            return;
+        let Some(state) = self.node_cpu.get(node.0 as usize) else {
+            return; // never ran a job
         };
-        if jobs.is_empty() {
-            self.node_rate.remove(&node);
+        let k = state.jobs.len();
+        if k == 0 {
+            self.node_cpu[node.0 as usize].rate = None;
             return;
         }
-        let k = jobs.len();
         let avail = self.fabric.cpu_available(node);
         let rate = avail / (k as f64 * self.fabric.sharing_penalty(k));
         // Rates only need re-pushing when the node's share actually moved
         // or its job population changed; otherwise every live job already
-        // drains at `rate` and touching it would cost a settle + heap push
-        // per job per event.
-        let unchanged = self.node_rate.get(&node) == Some(&rate);
-        if unchanged && !self.dirty_nodes.contains(&node) {
+        // drains at `rate` and touching it would cost a settle + heap
+        // re-sift per job per event.
+        let state = &mut self.node_cpu[node.0 as usize];
+        if state.rate == Some(rate) && !state.dirty {
             return;
         }
-        self.node_rate.insert(node, rate);
-        for &j in jobs {
+        state.rate = Some(rate);
+        for &j in &state.jobs {
             self.cpu.set_rate(now, j, rate);
         }
     }
@@ -949,8 +979,8 @@ impl<'a> Engine<'a> {
                     actions,
                 },
             );
-            self.jobs_by_node.entry(node).or_default().push(job);
-            self.dirty_nodes.insert(node);
+            self.node_cpu_mut(node).jobs.push(job);
+            self.mark_node_dirty(node);
         } else {
             let heap = run.consumed_heap;
             let run = server.run.take().expect("running invocation");
@@ -1092,10 +1122,13 @@ impl<'a> Engine<'a> {
 
     fn complete_job(&mut self, job: u64) {
         let info = self.jobs.remove(&job).expect("unknown job");
-        if let Some(v) = self.jobs_by_node.get_mut(&info.node) {
-            v.retain(|&j| j != job);
-        }
-        self.dirty_nodes.insert(info.node);
+        let jobs = &mut self.node_cpu[info.node.0 as usize].jobs;
+        let at = jobs
+            .iter()
+            .position(|&j| j == job)
+            .expect("job listed on its node");
+        jobs.swap_remove(at);
+        self.mark_node_dirty(info.node);
         self.steps_executed += 1;
         self.interval_work += info.work;
         self.total_work += info.work;
@@ -1363,7 +1396,7 @@ impl<'a> Engine<'a> {
         !self.pending_net.is_empty()
             || !self.pending_jobs.is_empty()
             || !self.paused.is_empty()
-            || self.cpu.view().earliest_announced().is_some()
+            || self.cpu.earliest_completion().is_some()
             || self.fabric.next_event_time().is_some()
     }
 
@@ -1436,10 +1469,9 @@ impl<'a> Engine<'a> {
             thread_count: self.thread_count,
             active: self.active.clone(),
             edge_seq: self.edge_seq.clone(),
-            cpu: self.cpu.snapshot(),
+            cpu: self.cpu.clone(),
             jobs,
-            jobs_by_node: self.jobs_by_node.clone(),
-            node_rate: self.node_rate.clone(),
+            node_cpu: self.node_cpu.clone(),
             dirty_nodes: self.dirty_nodes.clone(),
             next_job: self.next_job,
             action_pool: Vec::new(),

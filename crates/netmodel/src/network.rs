@@ -21,7 +21,7 @@
 //! transitively through ports) and falls back to the full iterative
 //! computation.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use desim::{FxHashMap, ProgressSet, SimTime};
 
@@ -52,11 +52,52 @@ pub struct NetStats {
     pub wire_bytes: u64,
 }
 
-/// Active-flow counts on one node's two star ports.
-#[derive(Clone, Copy, Debug, Default)]
-struct PortLoad {
-    n_in: usize,
-    n_out: usize,
+/// One node's two star ports: the per-node state every rate assignment
+/// reads, kept in a vector indexed by [`NodeId`].
+#[derive(Clone, Debug)]
+struct Port {
+    /// Active flows leaving through the uplink; its length is the uplink
+    /// population equal-split rates divide by.
+    out_flows: Vec<(FlowId, FlowSpec)>,
+    /// Active flows entering through the downlink.
+    in_flows: Vec<(FlowId, FlowSpec)>,
+    /// Base (up, down) capacity: the network default or an override for a
+    /// heterogeneous cluster (straggler nodes, mixed link speeds).
+    cap: (f64, f64),
+    /// Product of the active capacity windows' factors — exactly (1, 1)
+    /// without one, so fault-free nodes keep bit-identical rates.
+    window: (f64, f64),
+    /// Uplink / downlink population or capacity changed since the last
+    /// rate assignment.
+    dirty_up: bool,
+    dirty_down: bool,
+}
+
+impl Port {
+    fn new(params: &NetParams) -> Port {
+        Port {
+            out_flows: Vec::new(),
+            in_flows: Vec::new(),
+            cap: (params.up_bytes_per_sec, params.down_bytes_per_sec),
+            window: (1.0, 1.0),
+            dirty_up: false,
+            dirty_down: false,
+        }
+    }
+
+    /// Effective (up, down) capacity.
+    fn capacity(&self) -> (f64, f64) {
+        (self.cap.0 * self.window.0, self.cap.1 * self.window.1)
+    }
+}
+
+/// Removes `id` from a port's flow list (order is irrelevant).
+fn unlist(flows: &mut Vec<(FlowId, FlowSpec)>, id: FlowId) {
+    let i = flows
+        .iter()
+        .position(|&(f, _)| f == id)
+        .expect("active flow is listed on its ports");
+    flows.swap_remove(i);
 }
 
 /// A scheduled per-node capacity multiplier, active on `[from, to)` —
@@ -86,33 +127,22 @@ pub struct Network {
     /// Flows draining bytes under the sharing discipline.
     active: ProgressSet<FlowId>,
     specs: FxHashMap<FlowId, FlowSpec>,
-    /// Per-node active-flow counts — the only inputs to equal-split rates.
-    load: FxHashMap<NodeId, PortLoad>,
-    /// Active flows by source node (uplink users).
-    by_src: FxHashMap<NodeId, Vec<FlowId>>,
-    /// Active flows by destination node (downlink users).
-    by_dst: FxHashMap<NodeId, Vec<FlowId>>,
-    /// Nodes whose uplink / downlink population changed since the last rate
-    /// assignment; drained by `advance`.
-    dirty_src: BTreeSet<NodeId>,
-    dirty_dst: BTreeSet<NodeId>,
+    /// Per-node port state, indexed by `NodeId`; grown on first use.
+    ports: Vec<Port>,
+    /// Nodes with a dirty port flag set, each listed once; drained by
+    /// `advance`.
+    dirty: Vec<NodeId>,
     /// Nodes whose active-flow counts changed since the last
     /// [`Network::drain_comm_dirty`] — lets a CPU model recompute only the
     /// nodes whose communication load actually moved.
     comm_dirty: Vec<NodeId>,
     /// Scratch buffer for [`Network::reassign_rates`] (avoids a per-event
     /// allocation).
-    scratch: Vec<FlowId>,
+    scratch: Vec<(FlowId, FlowSpec)>,
     stats: NetStats,
-    /// Per-node (up, down) capacity overrides for heterogeneous clusters
-    /// (straggler nodes, mixed link speeds).
-    caps: FxHashMap<NodeId, (f64, f64)>,
     /// Scheduled time-windowed capacity multipliers (fault injection);
     /// windows whose end has passed are dropped.
     windows: Vec<CapWindow>,
-    /// Cached product of the *active* windows' factors per node; absent
-    /// means exactly (1, 1), so fault-free nodes keep bit-identical rates.
-    window_factor: FxHashMap<NodeId, (f64, f64)>,
 }
 
 impl Network {
@@ -126,17 +156,33 @@ impl Network {
             latent: VecDeque::new(),
             active: ProgressSet::new(),
             specs: FxHashMap::default(),
-            load: FxHashMap::default(),
-            by_src: FxHashMap::default(),
-            by_dst: FxHashMap::default(),
-            dirty_src: BTreeSet::new(),
-            dirty_dst: BTreeSet::new(),
+            ports: Vec::new(),
+            dirty: Vec::new(),
             comm_dirty: Vec::new(),
             scratch: Vec::new(),
             stats: NetStats::default(),
-            caps: FxHashMap::default(),
             windows: Vec::new(),
-            window_factor: FxHashMap::default(),
+        }
+    }
+
+    /// The port state of `node`, created with default capacities if new.
+    fn port_mut(&mut self, node: NodeId) -> &mut Port {
+        let i = node.0 as usize;
+        if i >= self.ports.len() {
+            let fresh = Port::new(&self.params);
+            self.ports.resize(i + 1, fresh);
+        }
+        &mut self.ports[i]
+    }
+
+    /// Marks `node`'s uplink and/or downlink for rate reassignment.
+    fn mark_dirty(&mut self, node: NodeId, up: bool, down: bool) {
+        let port = self.port_mut(node);
+        let listed = port.dirty_up || port.dirty_down;
+        port.dirty_up |= up;
+        port.dirty_down |= down;
+        if !listed {
+            self.dirty.push(node);
         }
     }
 
@@ -150,10 +196,8 @@ impl Network {
         down_bytes_per_sec: f64,
     ) {
         assert!(up_bytes_per_sec > 0.0 && down_bytes_per_sec > 0.0);
-        self.caps
-            .insert(node, (up_bytes_per_sec, down_bytes_per_sec));
-        self.dirty_src.insert(node);
-        self.dirty_dst.insert(node);
+        self.port_mut(node).cap = (up_bytes_per_sec, down_bytes_per_sec);
+        self.mark_dirty(node, true, true);
     }
 
     /// Schedules a time-windowed capacity multiplier on one node's links:
@@ -187,16 +231,13 @@ impl Network {
 
     /// An O(live-state) copy of the whole link/fairness state for
     /// checkpoint/fork: in-flight flows (latent and draining), per-port
-    /// loads, pending dirty sets, accumulated statistics, capacity
+    /// state, pending dirty flags, accumulated statistics, capacity
     /// overrides and fault windows (elapsed ones are dropped, active ones
-    /// keep their cached factors). The draining [`ProgressSet`] is
-    /// compacted before cloning so the copy carries no stale
-    /// completion-heap entries.
+    /// keep their cached factors).
     pub fn snapshot(&mut self) -> Network {
         let now = self.active.now();
         self.windows.retain(|w| w.active || w.to > now);
         let mut copy = self.clone();
-        copy.active = self.active.snapshot();
         copy.scratch = Vec::new();
         copy
     }
@@ -215,14 +256,9 @@ impl Network {
     /// Effective (up, down) capacity of a node, including any active
     /// fault-window multipliers.
     pub fn node_capacity(&self, node: NodeId) -> (f64, f64) {
-        let (up, down) = self
-            .caps
-            .get(&node)
-            .copied()
-            .unwrap_or((self.params.up_bytes_per_sec, self.params.down_bytes_per_sec));
-        match self.window_factor.get(&node) {
-            Some(&(fu, fd)) => (up * fu, down * fd),
-            None => (up, down),
+        match self.ports.get(node.0 as usize) {
+            Some(port) => port.capacity(),
+            None => (self.params.up_bytes_per_sec, self.params.down_bytes_per_sec),
         }
     }
 
@@ -263,19 +299,12 @@ impl Network {
         touched.dedup();
         for node in touched {
             let mut f = (1.0, 1.0);
-            let mut any = false;
             for w in self.windows.iter().filter(|w| w.active && w.node == node) {
                 f.0 *= w.up_factor;
                 f.1 *= w.down_factor;
-                any = true;
             }
-            if any {
-                self.window_factor.insert(node, f);
-            } else {
-                self.window_factor.remove(&node);
-            }
-            self.dirty_src.insert(node);
-            self.dirty_dst.insert(node);
+            self.port_mut(node).window = f;
+            self.mark_dirty(node, true, true);
         }
     }
 
@@ -366,12 +395,10 @@ impl Network {
             let (_, id, spec, bytes) = self.latent.pop_front().expect("just seen");
             self.specs.insert(id, spec);
             self.active.insert(now, id, bytes);
-            self.load.entry(spec.src).or_default().n_out += 1;
-            self.load.entry(spec.dst).or_default().n_in += 1;
-            self.by_src.entry(spec.src).or_default().push(id);
-            self.by_dst.entry(spec.dst).or_default().push(id);
-            self.dirty_src.insert(spec.src);
-            self.dirty_dst.insert(spec.dst);
+            self.port_mut(spec.src).out_flows.push((id, spec));
+            self.port_mut(spec.dst).in_flows.push((id, spec));
+            self.mark_dirty(spec.src, true, false);
+            self.mark_dirty(spec.dst, false, true);
             self.comm_dirty.push(spec.src);
             self.comm_dirty.push(spec.dst);
         }
@@ -381,25 +408,17 @@ impl Network {
         let mut events = Vec::with_capacity(done.len());
         for id in done {
             let spec = self.specs.remove(&id).expect("active flow has a spec");
-            self.load.entry(spec.src).or_default().n_out -= 1;
-            self.load.entry(spec.dst).or_default().n_in -= 1;
-            self.by_src
-                .get_mut(&spec.src)
-                .expect("indexed")
-                .retain(|&f| f != id);
-            self.by_dst
-                .get_mut(&spec.dst)
-                .expect("indexed")
-                .retain(|&f| f != id);
-            self.dirty_src.insert(spec.src);
-            self.dirty_dst.insert(spec.dst);
+            unlist(&mut self.ports[spec.src.0 as usize].out_flows, id);
+            unlist(&mut self.ports[spec.dst.0 as usize].in_flows, id);
+            self.mark_dirty(spec.src, true, false);
+            self.mark_dirty(spec.dst, false, true);
             self.comm_dirty.push(spec.src);
             self.comm_dirty.push(spec.dst);
             self.stats.flows_completed += 1;
             events.push(NetEvent::Completed(id));
         }
 
-        if !(self.dirty_src.is_empty() && self.dirty_dst.is_empty()) {
+        if !self.dirty.is_empty() {
             self.reassign_rates(now);
         }
         events
@@ -410,8 +429,9 @@ impl Network {
     /// their bandwidth phase count — during the latency phase no data is
     /// being copied on either host.
     pub fn comm_counts(&self, node: NodeId) -> (usize, usize) {
-        let l = self.load.get(&node).copied().unwrap_or_default();
-        (l.n_in, l.n_out)
+        self.ports
+            .get(node.0 as usize)
+            .map_or((0, 0), |p| (p.in_flows.len(), p.out_flows.len()))
     }
 
     /// Appends to `out` every node whose active-flow counts changed since
@@ -422,12 +442,14 @@ impl Network {
         out.append(&mut self.comm_dirty);
     }
 
-    /// Equal-split rate of one flow from the current port counts — the same
-    /// expression `fairness::equal_split` evaluates, so incremental and
+    /// Equal-split rate of one flow from the current port populations — the
+    /// same expression `fairness::equal_split` evaluates, so incremental and
     /// from-scratch assignments agree bit-for-bit.
     fn equal_split_rate(&self, spec: FlowSpec) -> f64 {
-        let up_share = self.node_capacity(spec.src).0 / self.load[&spec.src].n_out as f64;
-        let down_share = self.node_capacity(spec.dst).1 / self.load[&spec.dst].n_in as f64;
+        let src = &self.ports[spec.src.0 as usize];
+        let dst = &self.ports[spec.dst.0 as usize];
+        let up_share = src.capacity().0 / src.out_flows.len() as f64;
+        let down_share = dst.capacity().1 / dst.in_flows.len() as f64;
         up_share.min(down_share)
     }
 
@@ -456,39 +478,55 @@ impl Network {
     }
 
     /// Reassigns rates after the active set (or a capacity) changed,
-    /// draining the dirty-port sets.
+    /// clearing the dirty port flags.
     fn reassign_rates(&mut self, now: SimTime) {
+        let mut dirty = std::mem::take(&mut self.dirty);
         match self.sharing {
             Sharing::EqualSplit => {
                 // Only flows crossing a dirty port can have changed rates.
+                // A flow whose uplink and downlink are both dirty is taken
+                // once, from its uplink.
                 let mut affected = std::mem::take(&mut self.scratch);
                 affected.clear();
-                for src in std::mem::take(&mut self.dirty_src) {
-                    if let Some(v) = self.by_src.get(&src) {
-                        affected.extend_from_slice(v);
+                for &node in &dirty {
+                    let port = &self.ports[node.0 as usize];
+                    if port.dirty_up {
+                        affected.extend_from_slice(&port.out_flows);
+                    }
+                    if port.dirty_down {
+                        let ports = &self.ports;
+                        affected.extend(
+                            port.in_flows
+                                .iter()
+                                .filter(|(_, spec)| !ports[spec.src.0 as usize].dirty_up),
+                        );
                     }
                 }
-                for dst in std::mem::take(&mut self.dirty_dst) {
-                    if let Some(v) = self.by_dst.get(&dst) {
-                        affected.extend_from_slice(v);
-                    }
-                }
-                affected.sort_unstable();
-                affected.dedup();
-                for &id in &affected {
-                    let rate = self.equal_split_rate(self.specs[&id]);
+                self.clear_dirty(&dirty);
+                for &(id, spec) in &affected {
+                    let rate = self.equal_split_rate(spec);
                     self.active.set_rate(now, id, rate);
                 }
                 self.scratch = affected;
             }
             Sharing::MaxMin => {
                 // No locality: a departure's slack can cascade anywhere.
-                self.dirty_src.clear();
-                self.dirty_dst.clear();
+                self.clear_dirty(&dirty);
                 for (id, rate) in self.rates_from_scratch() {
                     self.active.set_rate(now, id, rate);
                 }
             }
+        }
+        dirty.clear();
+        self.dirty = dirty;
+    }
+
+    /// Resets the dirty flags of the listed nodes.
+    fn clear_dirty(&mut self, nodes: &[NodeId]) {
+        for &node in nodes {
+            let port = &mut self.ports[node.0 as usize];
+            port.dirty_up = false;
+            port.dirty_down = false;
         }
     }
 }
@@ -777,18 +815,24 @@ mod props {
     use desim::SimDuration;
     use simrng::{Rng, Xoshiro256};
 
+    /// Random arrivals and time steps, with random per-node capacity
+    /// overrides and capacity windows. The oracle prices the active set
+    /// from capacities the test derives itself (base or override, times
+    /// the factors of the windows active at `now`, in scheduling order),
+    /// so the network's per-node port state is checked, not trusted.
     #[test]
     fn incremental_rates_match_from_scratch_on_random_sequences() {
         let mut rng = Xoshiro256::seed_from_u64(0x1ACE);
         for case in 0..64 {
-            let mut n = Network::new(
-                NetParams {
-                    latency: SimDuration::from_micros(50),
-                    ..NetParams::fast_ethernet()
-                },
-                Sharing::EqualSplit,
-            );
+            let params = NetParams {
+                latency: SimDuration::from_micros(50),
+                ..NetParams::fast_ethernet()
+            };
+            let mut n = Network::new(params, Sharing::EqualSplit);
             let nodes = 2 + rng.gen_index(7) as u32;
+            let mut caps: Vec<(f64, f64)> =
+                vec![(params.up_bytes_per_sec, params.down_bytes_per_sec); nodes as usize];
+            let mut windows: Vec<(u32, f64, f64, SimTime, SimTime)> = Vec::new();
             let mut now = SimTime::ZERO;
             for _ in 0..200 {
                 // Random arrivals, random time steps; departures happen
@@ -801,9 +845,44 @@ mod props {
                     }
                     n.start_flow(now, src, dst, rng.gen_range_u64(0, 200_000));
                 }
+                match rng.gen_index(16) {
+                    0 => {
+                        let node = rng.gen_below(nodes as u64) as u32;
+                        let cap = (rng.gen_range_f64(1e5, 2e7), rng.gen_range_f64(1e5, 2e7));
+                        n.set_node_capacity(NodeId(node), cap.0, cap.1);
+                        caps[node as usize] = cap;
+                    }
+                    1 => {
+                        let node = rng.gen_below(nodes as u64) as u32;
+                        let from = now + SimDuration::from_nanos(rng.gen_range_u64(0, 20_000_000));
+                        let to = from + SimDuration::from_nanos(rng.gen_range_u64(1, 50_000_000));
+                        let (fu, fd) = (rng.gen_range_f64(0.1, 1.0), rng.gen_range_f64(0.1, 1.0));
+                        n.schedule_capacity_window(NodeId(node), fu, fd, from, to);
+                        windows.push((node, fu, fd, from, to));
+                    }
+                    _ => {}
+                }
                 now += SimDuration::from_nanos(rng.gen_range_u64(1, 2_000_000));
                 n.advance(now);
 
+                let capacity = |x: NodeId| {
+                    let mut f = (1.0, 1.0);
+                    for &(node, fu, fd, from, to) in &windows {
+                        if node == x.0 && from <= now && now < to {
+                            f.0 *= fu;
+                            f.1 *= fd;
+                        }
+                    }
+                    let (up, down) = caps[x.0 as usize];
+                    (up * f.0, down * f.1)
+                };
+                for x in 0..nodes {
+                    assert_eq!(
+                        n.node_capacity(NodeId(x)),
+                        capacity(NodeId(x)),
+                        "case {case}"
+                    );
+                }
                 // Oracle: full equal_split over the current active set.
                 let flows: Vec<(u64, FlowSpec)> = {
                     let mut v: Vec<FlowId> = n.active.keys().collect();
@@ -812,8 +891,8 @@ mod props {
                 };
                 let want = compute_rates(
                     &flows,
-                    |x| n.node_capacity(x).0,
-                    |x| n.node_capacity(x).1,
+                    |x| capacity(x).0,
+                    |x| capacity(x).1,
                     Sharing::EqualSplit,
                 );
                 for (raw, _) in &flows {
