@@ -696,7 +696,11 @@ impl<'a> Engine<'a> {
                 cache_entries: (self.cache.len() + self.cache.scores_len()) as u64,
                 cache_evictions: self.cache.evictions(),
                 whatif: self.wi,
-                breaker: self.breaker.as_ref().map(CircuitBreaker::stats).unwrap_or_default(),
+                breaker: self
+                    .breaker
+                    .as_ref()
+                    .map(CircuitBreaker::stats)
+                    .unwrap_or_default(),
                 profile_retries: self.profile_retries,
                 decision_hist: self.decision_hist,
             },
@@ -1089,7 +1093,12 @@ impl<'a> Engine<'a> {
     /// capped exponential backoff with deterministic jitter, up to
     /// [`RETRY_MAX`] attempts, then fail the job. The job keeps its nodes
     /// while backing off; the idle window is charged as allocated time.
-    fn retry_or_fail(&mut self, slot: u32, restart_cost: SimDuration, msg: String) -> SimResult<()> {
+    fn retry_or_fail(
+        &mut self,
+        slot: u32,
+        restart_cost: SimDuration,
+        msg: String,
+    ) -> SimResult<()> {
         let attempt = self.slab[slot as usize].profile_attempts;
         if attempt >= RETRY_MAX {
             return self.fail_running(

@@ -467,7 +467,8 @@ impl ChaosBaseline {
     pub fn crash_and_recover(&self, crash_seed: u64) -> ChaosRun {
         let plan = CrashPlan::new(crash_seed);
         let bytes = plan.crashed_bytes(&self.wal);
-        let svc = ClusterService::new(server_scale_config(self.shards)).expect("valid scale config");
+        let svc =
+            ClusterService::new(server_scale_config(self.shards)).expect("valid scale config");
         let (out, crash) = svc
             .recover(
                 server_scale_load(self.jobs, self.seed),

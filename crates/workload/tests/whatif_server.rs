@@ -155,7 +155,10 @@ fn tripped_breaker_degrades_and_probes_deterministically() {
     // shard counts and engine thread counts.
     for (shards, threads) in [(2, 1), (2, 4)] {
         let other = run_breaker(shards, threads);
-        assert_eq!(&other.report.breaker, b, "{shards} shards, {threads} threads");
+        assert_eq!(
+            &other.report.breaker, b,
+            "{shards} shards, {threads} threads"
+        );
         assert_identical(
             &reference,
             &other,

@@ -97,7 +97,10 @@ fn every_prefix_recovers(faulted: bool) {
             &baseline,
             wal.frame_prefix(k),
             faulted,
-            &format!("faulted={faulted}, clean prefix of {k}/{} frames", wal.frames()),
+            &format!(
+                "faulted={faulted}, clean prefix of {k}/{} frames",
+                wal.frames()
+            ),
         );
     }
     // Seeded torn tails: the in-flight frame is half-written with a bit
