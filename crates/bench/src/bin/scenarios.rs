@@ -29,10 +29,8 @@
 //! (`fork_vs_fresh_speedup`) the same way.
 //!
 //! `--journal` additionally records the committed-event journal of the
-//! reference LU run at the session seed, pinpoint-checks the serial stream
-//! against a parallel-engine run, and writes it (with replay metadata) to
-//! `results/lu_reference.journal` for `perf --replay`. A determinism
-//! violation exits non-zero with the first diverging event named.
+//! reference LU run at the session seed and writes it (with replay
+//! metadata) to `results/lu_reference.journal` for `perf --replay`.
 //!
 //! `--chaos` additionally runs the seeded crash/recovery sweep (see the
 //! `chaos` binary): the durable server-scale run is crashed at several
@@ -204,16 +202,13 @@ fn main() {
     }
     if journal {
         let path = default_journal_path();
-        let cross = workload::engine_threads().max(2);
-        let (res, wall) = time(|| record_reference_journal(seed, ctx.smoke, cross, &path));
+        let (res, wall) = time(|| record_reference_journal(seed, ctx.smoke, &path));
         match res {
             Ok(probe) => {
                 println!(
-                    "journal: {} events recorded to {} \
-                     (serial \u{2261} parallel at engine_threads={}, canonical {})",
+                    "journal: {} events recorded to {} (canonical {})",
                     probe.events,
                     path.display(),
-                    probe.cross_threads,
                     probe.digest
                 );
                 json.record(

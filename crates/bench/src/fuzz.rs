@@ -1,15 +1,12 @@
 //! Determinism fuzzing harness: randomized schedules, one invariant.
 //!
 //! Under a root seed, each case draws a random small workload (LU or
-//! stencil, random sizes and worker→node routing), an optional seeded
-//! fault plan, and a set of engine thread counts, then asserts the
-//! engine's core invariant three ways:
+//! stencil, random sizes and worker→node routing) and an optional seeded
+//! fault plan, then asserts the engine's core invariant two ways:
 //!
-//! 1. **Serial ≡ parallel**: the committed-event journal at every drawn
-//!    thread count equals the serial journal (metadata excluded);
-//! 2. **Replay**: re-executing against the recorded journal from a random
+//! 1. **Replay**: re-executing against the recorded journal from a random
 //!    prefix reproduces the stream and the canonical report exactly;
-//! 3. **Pinpointer sanity**: a run perturbed with an injected commit-order
+//! 2. **Pinpointer sanity**: a run perturbed with an injected commit-order
 //!    tie-break swap either leaves the stream untouched (the drawn swap
 //!    index never fired) or produces a divergence diagnostic that names a
 //!    ticket and a virtual time.
@@ -47,7 +44,7 @@ pub struct CaseReport {
     pub index: usize,
     /// Human description of the drawn configuration.
     pub what: String,
-    /// Journal length of the serial baseline.
+    /// Journal length of the baseline run.
     pub journal_len: usize,
     /// Whether the injected tie-break swap actually perturbed the stream.
     pub perturbation_fired: bool,
@@ -141,12 +138,11 @@ fn fabric_for(plan: &Option<FaultPlan>, net: NetParams) -> Box<dyn Fabric + Send
     }
 }
 
-fn base_cfg(threads: usize) -> SimConfig {
+fn base_cfg() -> SimConfig {
     SimConfig {
         timing: TimingMode::ChargedOnly,
         step_overhead: SimDuration::from_micros(50),
         record_journal: true,
-        engine_threads: threads,
         ..SimConfig::default()
     }
 }
@@ -176,47 +172,29 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
     );
     let fail = |stage: &str, detail: String| format!("[{what}] {stage}: {detail}");
 
-    // Serial baseline.
-    let baseline = run_case_app(&app, &plan, net, &base_cfg(1))
+    let baseline = run_case_app(&app, &plan, net, &base_cfg())
         .map_err(|e| fail("baseline run", e.to_string()))?;
     let recorded = baseline.journal.as_ref().expect("journal recorded");
 
-    // 1. Journal equivalence at randomized thread counts.
-    for _ in 0..2 {
-        let t = 2 + rng.gen_range_u64(0, 3) as usize;
-        let report = run_case_app(&app, &plan, net, &base_cfg(t))
-            .map_err(|e| fail("parallel run", e.to_string()))?;
-        let j = report.journal.as_ref().expect("journal recorded");
-        if let Some(d) = j.first_divergence(recorded) {
-            return Err(fail(
-                &format!("serial≡parallel at threads={t}"),
-                d.to_string(),
-            ));
-        }
-    }
-
-    // 2. Replay from a random prefix, at a random thread count.
+    // 1. Replay from a random prefix.
     let prefix = rng.gen_range_u64(0, recorded.len() as u64 + 1) as usize;
-    let t = 1 + rng.gen_range_u64(0, 4) as usize;
     let built = app.build();
     let mut fabric = fabric_for(&plan, net);
-    let out = replay_with_fabric(&built, fabric.as_mut(), &base_cfg(t), recorded, prefix)
+    let out = replay_with_fabric(&built, fabric.as_mut(), &base_cfg(), recorded, prefix)
         .map_err(|e| fail("replay run", e.to_string()))?;
+    let stage = format!("replay at prefix={prefix}");
     if let Some(d) = out.divergence {
-        return Err(fail(
-            &format!("replay at threads={t} prefix={prefix}"),
-            d.to_string(),
-        ));
+        return Err(fail(&stage, d.to_string()));
     }
     if out.report.canonical_string() != baseline.canonical_string() {
         return Err(fail(
-            &format!("replay at threads={t} prefix={prefix}"),
+            &stage,
             "canonical reports differ but journals match".to_string(),
         ));
     }
 
-    // 3. Pinpointer sanity under an injected tie-break swap.
-    let mut cfg = base_cfg(1 + rng.gen_range_u64(0, 4) as usize);
+    // 2. Pinpointer sanity under an injected tie-break swap.
+    let mut cfg = base_cfg();
     cfg.tie_break_swap = Some(rng.gen_range_u64(0, 4));
     let perturbed =
         run_case_app(&app, &plan, net, &cfg).map_err(|e| fail("perturbed run", e.to_string()))?;

@@ -185,8 +185,8 @@ pub struct TenantReport {
 
 /// Deterministic counters of the what-if decision machinery. Every field
 /// is incremented in the fixed global event order, so the whole struct is
-/// byte-identical across shard counts and engine thread counts (and is
-/// part of [`ServiceReport::canonical_string`]).
+/// byte-identical across shard counts (and is part of
+/// [`ServiceReport::canonical_string`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WhatIfStats {
     /// What-if decisions taken (placements and iteration boundaries).

@@ -56,7 +56,7 @@ pub enum CandidateKind {
 /// Integer score of one candidate future over a job's remaining
 /// iterations. All fields are exact sums of profile integers, so scores —
 /// and every comparison between them — are byte-deterministic across
-/// shard counts and engine thread counts.
+/// shard counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CandidateScore {
     /// Predicted remaining wall time (ns).

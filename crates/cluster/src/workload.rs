@@ -186,7 +186,7 @@ const SCORES_PER_PROFILE: usize = 16;
 /// order* is evicted first. Insertion order is part of the deterministic
 /// event order, so the hit/miss/eviction counters — and everything
 /// downstream of a recomputed profile — are identical across shard
-/// counts and engine thread counts.
+/// counts.
 pub struct ProfileCache {
     map: FxHashMap<(String, u32), EfficiencyProfile>,
     order: VecDeque<(String, u32)>,

@@ -3,8 +3,8 @@
 //!
 //! Determinism in this workspace means: the same configuration produces the
 //! same committed event sequence, byte for byte, no matter how the work was
-//! scheduled on the host (serial event loop or the ticketed parallel
-//! pipeline, fresh run or forked continuation, cache hit or miss). The
+//! scheduled on the host (fresh run or forked continuation, replay from a
+//! prefix, sweep point on any harness thread, cache hit or miss). The
 //! journal makes that sequence first-class. An engine appends one
 //! [`JournalEntry`] per committed event — invocation dispatch, atomic-step
 //! completion, post, transfer arrival, mark, deactivation, credit release,
@@ -56,8 +56,7 @@ pub const JOURNAL_MAGIC: &[u8; 7] = b"DVNSJ1\n";
 /// One committed engine event. Integer fields are the raw values of the
 /// emitting engine's typed ids (`op` = operation id, `thread` = DPS thread
 /// id, `node` = cluster node id); `ticket`/`job` are the engine's monotone
-/// atomic-step ids, identical between serial and parallel execution by the
-/// ticketing construction.
+/// atomic-step ids.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalEvent {
     /// A scheduled capacity window on one node's links — a fault plan's
@@ -75,8 +74,8 @@ pub enum JournalEvent {
         to: u64,
     },
     /// An invocation dispatched: a server began consuming a data object.
-    /// `ticket` is the job id reserved for the invocation's first atomic
-    /// step — the committer applies results in this order.
+    /// `ticket` is the job id reserved at dispatch for the invocation's
+    /// first atomic step.
     Invoke {
         /// Reserved job id of the invocation's first segment.
         ticket: u64,
@@ -384,8 +383,9 @@ impl std::error::Error for JournalDecodeError {}
 pub struct Journal {
     /// Run-configuration metadata (key/value). Describes how to re-execute
     /// the run (application, sizes, seed); deliberately *excluded* from
-    /// [`Journal::first_divergence`] so journals recorded at different
-    /// engine thread counts still compare equal.
+    /// [`Journal::first_divergence`] so journals that differ only in a
+    /// configuration echo (e.g. a service's shard count) still compare
+    /// equal.
     pub meta: Vec<(String, String)>,
     /// Interned mark labels; `Mark` entries index into this table.
     pub labels: Vec<String>,
@@ -1079,7 +1079,7 @@ mod tests {
     fn metadata_does_not_affect_stream_equality() {
         let a = sample();
         let mut b = sample();
-        b.set_meta("engine_threads", "4");
+        b.set_meta("fabric", "testbed");
         b.set_meta("seed", "43");
         assert!(a.same_stream(&b));
         assert_eq!(b.meta_get("seed"), Some("43"));

@@ -143,13 +143,6 @@ impl Fabric for FaultFabric {
         out
     }
 
-    fn parallel_commit_safe(&self) -> bool {
-        // `compute_time` delegates to the wrapped fabric unchanged (the
-        // plan acts through rates, not nominal work), so this wrapper is
-        // exactly as reorderable as its interior.
-        self.inner.parallel_commit_safe()
-    }
-
     fn fork_fabric(&mut self) -> Option<Box<dyn Fabric + Send>> {
         Some(Box::new(FaultFabric {
             inner: self.inner.fork_sim(),

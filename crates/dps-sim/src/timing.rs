@@ -97,8 +97,7 @@ impl TimingState {
 /// A *disabled* stopwatch reports every lap as zero without touching the
 /// host clock: [`TimingMode::ChargedOnly`] ignores measurements entirely,
 /// so pricing steps under it should not pay two `Instant::now` calls per
-/// atomic step — and a measurement-free compute phase is what lets the
-/// engine's parallel core run it on worker threads deterministically.
+/// atomic step.
 pub struct Stopwatch {
     last: Option<Instant>,
 }

@@ -246,3 +246,96 @@ fn deadlock_detection_is_deterministic() {
     let b = simulate(&non_draining_app(2, 1), NetParams::ideal(), &cfg()).unwrap_err();
     assert_eq!(a, b);
 }
+
+/// A pipeline whose every post funnels through the split's one
+/// flow-control `window`: each leaf invocation releases a credit into it
+/// and posts to the single merge server.
+fn shared_window_app(n: u64, window: usize) -> Application {
+    let mut b = AppBuilder::new("shared-window");
+    b.thread_group("workers", 4);
+    let main = b.thread_on_node("main", 4);
+    let split = b.declare("split", OpKind::Split);
+    let leaf = b.declare("leaf", OpKind::Leaf);
+    let merge = b.declare("merge", OpKind::Merge);
+    b.body(split, move |_, _| {
+        op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+            for i in 0..n {
+                ctx.charge(US);
+                ctx.post(leaf, Box::new(Token(i)));
+            }
+        })
+    });
+    b.body(leaf, move |_, _| {
+        op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+            ctx.charge(US * 3);
+            ctx.fc_release(split);
+            ctx.post(merge, Box::new(Token(0)));
+        })
+    });
+    b.body(merge, move |_, _| {
+        let mut seen = 0;
+        op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+            seen += 1;
+            if seen == n {
+                ctx.terminate();
+            }
+        })
+    });
+    b.edge(split, leaf, round_robin("workers"));
+    b.edge(leaf, merge, to_thread(main));
+    b.flow_control(split, window);
+    b.start(split, main, || Box::new(Token(0)));
+    b.build().unwrap()
+}
+
+#[test]
+fn shared_window_app_terminates_at_windows_1_2_and_7() {
+    // Tight windows park the split behind in-flight credits over and over;
+    // every leaf step reopens the window. A lost or reordered credit would
+    // deadlock the run.
+    for window in [1, 2, 7] {
+        let report = simulate(&shared_window_app(48, window), NetParams::ideal(), &cfg())
+            .unwrap_or_else(|e| panic!("window {window} deadlocked: {e}"));
+        assert!(report.terminated, "window {window}");
+        // One split step per post, one leaf step per piece and one merge
+        // step per arrival.
+        assert_eq!(report.steps, 3 * 48, "window {window}");
+    }
+}
+
+#[test]
+fn panic_in_an_operation_body_reaches_the_caller() {
+    let mut b = AppBuilder::new("poisoned");
+    b.thread_group("workers", 4);
+    let main = b.thread_on_node("main", 4);
+    let split = b.declare("split", OpKind::Split);
+    let leaf = b.declare("leaf", OpKind::Leaf);
+    b.body(split, move |_, _| {
+        op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+            for i in 0..16 {
+                ctx.charge(US);
+                ctx.post(leaf, Box::new(Token(i)));
+            }
+        })
+    });
+    b.body(leaf, move |_, _| {
+        let mut calls = 0u64;
+        op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+            assert!(calls != 2, "poisoned invocation {calls}");
+            calls += 1;
+            ctx.charge(US);
+        })
+    });
+    b.edge(split, leaf, round_robin("workers"));
+    b.start(split, main, || Box::new(Token(0)));
+    let app = b.build().unwrap();
+
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        simulate(&app, NetParams::ideal(), &cfg())
+    }))
+    .expect_err("the poisoned invocation must panic");
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("panic carries its message");
+    assert!(message.contains("poisoned invocation 2"), "{message}");
+}

@@ -44,25 +44,6 @@ pub struct SimEnv {
 /// flag overrides it via [`SimEnv::paper_seeded`].
 pub const DEFAULT_SEED: u64 = 42;
 
-/// Engine threads requested through the environment, read by
-/// [`SimEnv::paper_seeded`] so every experiment binary (figures, scenarios,
-/// perf) picks the setting up without its own flag plumbing.
-///
-/// `DVNS_ENGINE_THREADS` unset, empty, unparsable or `< 1` means 1 — the
-/// plain serial engine. The value is deliberately *not* clamped to the
-/// host's core count: the scaling benchmark measures oversubscribed
-/// configurations on purpose, and output is byte-identical at any thread
-/// count anyway. (The bench harness separately budgets *sweep* parallelism
-/// against `engine_threads()` so P×T stays within the machine; see
-/// `bench::harness`.)
-pub fn engine_threads() -> usize {
-    std::env::var("DVNS_ENGINE_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
 impl SimEnv {
     /// The paper's setup: UltraSparc II nodes on Fast Ethernet, at the
     /// default root seed.
@@ -80,18 +61,18 @@ impl SimEnv {
                 timing: TimingMode::ChargedOnly,
                 step_overhead: SimDuration::from_micros(50),
                 record_trace: false,
-                engine_threads: engine_threads(),
                 ..SimConfig::default()
             },
             seed,
         }
     }
 
-    /// Overrides the engine thread count (see [`engine_threads`] for the
-    /// environment-driven default). Output is byte-identical at any value;
-    /// only wall-clock throughput changes.
-    pub fn with_engine_threads(mut self, threads: usize) -> SimEnv {
-        self.simcfg.engine_threads = threads.max(1);
+    /// Compatibility shim for the `perfbench` benchmark crate, its only
+    /// caller: the engine is serial, so the one accepted value is 1 and the
+    /// environment is returned unchanged.
+    #[doc(hidden)]
+    pub fn with_engine_threads(self, threads: usize) -> SimEnv {
+        assert_eq!(threads, 1, "the simulator engine is single-threaded");
         self
     }
 

@@ -44,7 +44,7 @@ pub mod sweep;
 pub mod whatif;
 
 pub use apps::{LuWorkload, StencilWorkload};
-pub use env::{engine_threads, SimEnv, DEFAULT_SEED, N};
+pub use env::{SimEnv, DEFAULT_SEED, N};
 pub use faulted::{FaultAware, FaultedRun, FaultedWorkload};
 pub use scale::{
     chaos_baseline, chaos_sweep, run_server_scale, run_server_whatif, server_scale_bench,

@@ -1,7 +1,6 @@
 //! Cross-crate determinism of the sharded cluster service with *real*
 //! simulator-backed workloads: the committed report must be byte-identical
-//! across shard counts AND across the parallel engine's thread count,
-//! plain and under a seeded fault plan.
+//! across shard counts, plain and under a seeded fault plan.
 
 use std::sync::Arc;
 
@@ -27,8 +26,7 @@ fn cfg(shards: u32) -> ServiceConfig {
 }
 
 /// A small stream mixing simulator-backed LU jobs (profiled through
-/// dps-sim, whose engine honours `DVNS_ENGINE_THREADS`) with analytic
-/// filler from the synthetic generator.
+/// dps-sim) with analytic filler from the synthetic generator.
 fn stream(env: &SimEnv) -> Vec<JobSpec> {
     let lu_small = Arc::new(env.lu_workload(env.lu_sized(96, 12, 8)));
     let lu_tiny = Arc::new(env.lu_workload(env.lu_sized(64, 8, 8)));
@@ -79,8 +77,8 @@ fn plan() -> FaultPlan {
     )
 }
 
-fn canonical(threads: usize, shards: u32, faulted: bool) -> String {
-    let env = SimEnv::paper().with_engine_threads(threads);
+fn canonical(shards: u32, faulted: bool) -> String {
+    let env = SimEnv::paper();
     let svc = ClusterService::new(cfg(shards)).unwrap();
     let plan = if faulted { plan() } else { FaultPlan::none() };
     let report = svc
@@ -95,24 +93,17 @@ fn canonical(threads: usize, shards: u32, faulted: bool) -> String {
 }
 
 #[test]
-fn sim_backed_service_is_invariant_across_shards_and_engine_threads() {
-    let reference = canonical(1, 1, false);
-    assert_eq!(reference, canonical(1, 2, false), "shard count leaked");
-    assert_eq!(reference, canonical(2, 1, false), "engine threads leaked");
-    assert_eq!(
-        reference,
-        canonical(2, 2, false),
-        "shard x thread combination leaked"
-    );
+fn sim_backed_service_is_invariant_across_shard_counts() {
+    let reference = canonical(1, false);
+    assert_eq!(reference, canonical(2, false), "shard count leaked");
 }
 
 #[test]
 fn sim_backed_service_is_invariant_under_a_fault_plan() {
-    let reference = canonical(1, 1, true);
+    let reference = canonical(1, true);
     assert!(
         !reference.contains("faults restarts=0 "),
         "the seeded crash must interrupt a held job:\n{reference}"
     );
-    assert_eq!(reference, canonical(1, 2, true), "shard count leaked");
-    assert_eq!(reference, canonical(2, 2, true), "engine threads leaked");
+    assert_eq!(reference, canonical(2, true), "shard count leaked");
 }
