@@ -175,10 +175,18 @@ pub struct WriteAheadLog {
     cum_entries: Vec<u64>,
 }
 
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Appends one frame whose payload `write` encodes in place: the 8-byte
+/// header is reserved first and filled in (length, then CRC32 of the
+/// payload) once the payload is written.
+fn push_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    write(out);
+    let payload = &out[at + 8..];
+    let len = u32::try_from(payload.len()).expect("WAL frame payload exceeds 4 GiB");
+    let crc = crc32(payload);
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Reads the frame at `pos`; an error is the reason the frame is invalid
@@ -212,14 +220,19 @@ impl WriteAheadLog {
         bytes.extend_from_slice(WAL_MAGIC);
         let mut offsets = vec![bytes.len()];
         let mut cum_entries = vec![0u64];
-        push_frame(&mut bytes, &journal.encode_header());
+        push_frame(&mut bytes, |out| {
+            out.extend_from_slice(&journal.encode_header());
+        });
         offsets.push(bytes.len());
         cum_entries.push(0);
         for (s, e) in spec.frame_ranges(&journal.entries) {
-            push_frame(&mut bytes, &journal.encode_entry_batch(s, e));
+            push_frame(&mut bytes, |out| journal.encode_entry_batch_into(out, s, e));
             offsets.push(bytes.len());
             cum_entries.push(e as u64);
         }
+        // The log is immutable from here on: drop the doubling slack of
+        // the in-place frame writes.
+        bytes.shrink_to_fit();
         WriteAheadLog {
             bytes,
             offsets,

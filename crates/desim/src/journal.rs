@@ -503,29 +503,8 @@ impl Journal {
     /// Encodes the journal to its compact binary form.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + self.entries.len() * 8);
-        out.extend_from_slice(JOURNAL_MAGIC);
-        put_varint(&mut out, self.meta.len() as u64);
-        for (k, v) in &self.meta {
-            put_str(&mut out, k);
-            put_str(&mut out, v);
-        }
-        put_varint(&mut out, self.labels.len() as u64);
-        for l in &self.labels {
-            put_str(&mut out, l);
-        }
-        put_varint(&mut out, self.entries.len() as u64);
-        let mut prev = 0u64;
-        for e in &self.entries {
-            let t = e.vtime.as_nanos();
-            debug_assert!(t >= prev, "journal entries must be time-ordered");
-            let (kind, fields) = encode_event(&e.event);
-            out.push(kind);
-            put_varint(&mut out, t.saturating_sub(prev));
-            prev = t;
-            for f in fields {
-                put_varint(&mut out, f);
-            }
-        }
+        put_header(&mut out, &self.meta, &self.labels);
+        put_entries(&mut out, &self.entries, 0);
         out
     }
 
@@ -548,21 +527,8 @@ impl Journal {
         for _ in 0..label_count {
             labels.push(c.string()?);
         }
-        let entry_count = c.varint()? as usize;
-        let mut entries = Vec::with_capacity(entry_count.min(1 << 20));
-        let mut prev = 0u64;
-        for _ in 0..entry_count {
-            let kind = c.byte()?;
-            let delta = c.varint()?;
-            prev = prev
-                .checked_add(delta)
-                .ok_or_else(|| c.err("vtime overflow"))?;
-            let event = decode_event(kind, &mut c)?;
-            entries.push(JournalEntry {
-                vtime: SimTime(prev),
-                event,
-            });
-        }
+        let mut entries = Vec::new();
+        get_entries(&mut c, &mut entries)?;
         if c.pos != bytes.len() {
             return Err(c.err("trailing bytes after last entry"));
         }
@@ -580,12 +546,10 @@ impl Journal {
     /// frame: the entries follow in batches ([`Journal::encode_entry_batch`])
     /// so a torn tail loses events, never the tables they refer to.
     pub fn encode_header(&self) -> Vec<u8> {
-        Journal {
-            meta: self.meta.clone(),
-            labels: self.labels.clone(),
-            entries: Vec::new(),
-        }
-        .encode()
+        let mut out = Vec::new();
+        put_header(&mut out, &self.meta, &self.labels);
+        put_varint(&mut out, 0);
+        out
     }
 
     /// Encodes `entries[start..end]` as a standalone delta-coded batch —
@@ -597,26 +561,24 @@ impl Journal {
     /// # Panics
     /// If `start..end` is not a valid, ordered range into the entries.
     pub fn encode_entry_batch(&self, start: usize, end: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8 + end.saturating_sub(start) * 8);
+        self.encode_entry_batch_into(&mut out, start, end);
+        out
+    }
+
+    /// [`Journal::encode_entry_batch`], appended to `out` instead of a
+    /// fresh buffer — how a WAL writes a frame's payload in place.
+    ///
+    /// # Panics
+    /// If `start..end` is not a valid, ordered range into the entries.
+    pub fn encode_entry_batch_into(&self, out: &mut Vec<u8>, start: usize, end: usize) {
         assert!(start <= end && end <= self.entries.len(), "bad batch range");
-        let mut out = Vec::with_capacity(8 + (end - start) * 8);
-        put_varint(&mut out, (end - start) as u64);
-        let mut prev = if start == 0 {
+        let prev = if start == 0 {
             0
         } else {
             self.entries[start - 1].vtime.as_nanos()
         };
-        for e in &self.entries[start..end] {
-            let t = e.vtime.as_nanos();
-            debug_assert!(t >= prev, "journal entries must be time-ordered");
-            let (kind, fields) = encode_event(&e.event);
-            out.push(kind);
-            put_varint(&mut out, t.saturating_sub(prev));
-            prev = t;
-            for f in fields {
-                put_varint(&mut out, f);
-            }
-        }
-        out
+        put_entries(out, &self.entries[start..end], prev);
     }
 
     /// Decodes a batch produced by [`Journal::encode_entry_batch`] and
@@ -625,44 +587,78 @@ impl Journal {
     /// is left unchanged.
     pub fn append_entry_batch(&mut self, bytes: &[u8]) -> Result<usize, JournalDecodeError> {
         let mut c = Cursor { bytes, pos: 0 };
-        let count = c.varint()? as usize;
-        let mut prev = self.entries.last().map_or(0, |e| e.vtime.as_nanos());
-        let mut batch = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let kind = c.byte()?;
-            let delta = c.varint()?;
-            prev = prev
-                .checked_add(delta)
-                .ok_or_else(|| c.err("vtime overflow"))?;
-            let event = decode_event(kind, &mut c)?;
-            batch.push(JournalEntry {
-                vtime: SimTime(prev),
-                event,
-            });
+        let old_len = self.entries.len();
+        let decoded = get_entries(&mut c, &mut self.entries).and_then(|()| {
+            if c.pos == bytes.len() {
+                Ok(())
+            } else {
+                Err(c.err("trailing bytes after last batch entry"))
+            }
+        });
+        if let Err(e) = decoded {
+            self.entries.truncate(old_len);
+            return Err(e);
         }
-        if c.pos != bytes.len() {
-            return Err(c.err("trailing bytes after last batch entry"));
-        }
-        self.entries.append(&mut batch);
-        Ok(count)
+        Ok(self.entries.len() - old_len)
     }
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes` — the
 /// per-frame checksum of the segmented WAL built on this journal (see the
-/// cluster service's recovery module). Bitwise, dependency-free; frames are
-/// small enough that a lookup table buys nothing.
+/// cluster service's recovery module). Slicing-by-8: each step folds in
+/// eight bytes through eight table lookups, and the tail goes a byte at a
+/// time. A WAL frame carries a whole group commit, tens of kilobytes, so
+/// the per-byte cost is what counts.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
+
+/// The slicing-by-8 tables of [`crc32`], built at compile time: `[0]` is
+/// the classic byte-at-a-time table, and `[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
 
 /// First differing field between two same-index entries, if any.
 fn entry_divergence(
@@ -700,27 +696,22 @@ const K_RELEASE: u8 = 7;
 const K_ACCOUNT: u8 = 8;
 const K_TERMINATE: u8 = 9;
 
-/// At most this many varint fields per event kind.
-type FieldBuf = Vec<u64>;
-
-fn encode_event(e: &JournalEvent) -> (u8, FieldBuf) {
-    match *e {
+/// Writes one entry: kind tag, vtime `delta`, then the kind's fields.
+fn put_entry(out: &mut Vec<u8>, delta: u64, e: &JournalEvent) {
+    let (kind, fields): (u8, &[u64]) = match *e {
         JournalEvent::RateWindow {
             node,
             up_bits,
             down_bits,
             from,
             to,
-        } => (
-            K_RATE_WINDOW,
-            vec![node as u64, up_bits, down_bits, from, to],
-        ),
+        } => (K_RATE_WINDOW, &[node as u64, up_bits, down_bits, from, to]),
         JournalEvent::Invoke {
             ticket,
             op,
             thread,
             obj_bytes,
-        } => (K_INVOKE, vec![ticket, op as u64, thread as u64, obj_bytes]),
+        } => (K_INVOKE, &[ticket, op as u64, thread as u64, obj_bytes]),
         JournalEvent::Step {
             job,
             op,
@@ -730,7 +721,7 @@ fn encode_event(e: &JournalEvent) -> (u8, FieldBuf) {
             work,
         } => (
             K_STEP,
-            vec![job, op as u64, thread as u64, node as u64, start, work],
+            &[job, op as u64, thread as u64, node as u64, start, work],
         ),
         JournalEvent::Post {
             op,
@@ -741,7 +732,7 @@ fn encode_event(e: &JournalEvent) -> (u8, FieldBuf) {
             local,
         } => (
             K_POST,
-            vec![
+            &[
                 op as u64,
                 thread as u64,
                 to as u64,
@@ -759,7 +750,7 @@ fn encode_event(e: &JournalEvent) -> (u8, FieldBuf) {
             start,
         } => (
             K_ARRIVE,
-            vec![
+            &[
                 to as u64,
                 thread as u64,
                 src as u64,
@@ -768,12 +759,75 @@ fn encode_event(e: &JournalEvent) -> (u8, FieldBuf) {
                 start,
             ],
         ),
-        JournalEvent::Mark { label } => (K_MARK, vec![label as u64]),
-        JournalEvent::Deactivate { thread } => (K_DEACTIVATE, vec![thread as u64]),
-        JournalEvent::Release { op } => (K_RELEASE, vec![op as u64]),
-        JournalEvent::Account { delta } => (K_ACCOUNT, vec![zigzag(delta)]),
-        JournalEvent::Terminate => (K_TERMINATE, Vec::new()),
+        JournalEvent::Mark { label } => (K_MARK, &[label as u64]),
+        JournalEvent::Deactivate { thread } => (K_DEACTIVATE, &[thread as u64]),
+        JournalEvent::Release { op } => (K_RELEASE, &[op as u64]),
+        JournalEvent::Account { delta } => (K_ACCOUNT, &[zigzag(delta)]),
+        JournalEvent::Terminate => (K_TERMINATE, &[]),
+    };
+    // Assembled on the stack, then copied once: one capacity check per
+    // entry instead of one per byte.
+    let mut buf = [0u8; MAX_ENTRY_BYTES];
+    buf[0] = kind;
+    let mut n = write_varint(&mut buf, 1, delta);
+    for &f in fields {
+        n = write_varint(&mut buf, n, f);
     }
+    out.extend_from_slice(&buf[..n]);
+}
+
+/// Writes the header sections: magic, metadata and label table.
+fn put_header(out: &mut Vec<u8>, meta: &[(String, String)], labels: &[String]) {
+    out.extend_from_slice(JOURNAL_MAGIC);
+    put_varint(out, meta.len() as u64);
+    for (k, v) in meta {
+        put_str(out, k);
+        put_str(out, v);
+    }
+    put_varint(out, labels.len() as u64);
+    for l in labels {
+        put_str(out, l);
+    }
+}
+
+/// Writes an entry section: the count, then each entry with its vtime
+/// delta-coded against the one before (the first against `prev`).
+fn put_entries(out: &mut Vec<u8>, entries: &[JournalEntry], mut prev: u64) {
+    put_varint(out, entries.len() as u64);
+    for e in entries {
+        let t = e.vtime.as_nanos();
+        debug_assert!(t >= prev, "journal entries must be time-ordered");
+        put_entry(out, t.saturating_sub(prev), &e.event);
+        prev = t;
+    }
+}
+
+/// Reads an entry section written by [`put_entries`] and pushes its
+/// entries onto `entries`, delta-decoding vtimes against the current last
+/// entry. On error the entries pushed so far stay; callers that promise
+/// an unchanged journal truncate.
+fn get_entries(
+    c: &mut Cursor<'_>,
+    entries: &mut Vec<JournalEntry>,
+) -> Result<(), JournalDecodeError> {
+    let count = c.varint()? as usize;
+    // `count` is untrusted: every entry takes at least a kind byte and a
+    // delta byte, so the remaining input bounds what can really follow.
+    entries.reserve(count.min(c.remaining() / 2));
+    let mut prev = entries.last().map_or(0, |e| e.vtime.as_nanos());
+    for _ in 0..count {
+        let kind = c.byte()?;
+        let delta = c.varint()?;
+        prev = prev
+            .checked_add(delta)
+            .ok_or_else(|| c.err("vtime overflow"))?;
+        let event = decode_event(kind, c)?;
+        entries.push(JournalEntry {
+            vtime: SimTime(prev),
+            event,
+        });
+    }
+    Ok(())
 }
 
 fn decode_event(kind: u8, c: &mut Cursor<'_>) -> Result<JournalEvent, JournalDecodeError> {
@@ -845,16 +899,25 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+/// Longest encoded entry: a kind byte, then the vtime delta and at most
+/// six fields, each a varint of at most ten bytes.
+const MAX_ENTRY_BYTES: usize = 1 + 7 * 10;
+
+/// Writes `v` as a varint at `buf[at..]`, returning the end offset.
+fn write_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        buf[at] = (v & 0x7f) as u8 | 0x80;
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+        at += 1;
     }
+    buf[at] = v as u8;
+    at + 1
+}
+
+fn put_varint(out: &mut Vec<u8>, v: u64) {
+    let mut buf = [0u8; 10];
+    let n = write_varint(&mut buf, 0, v);
+    out.extend_from_slice(&buf[..n]);
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -900,7 +963,23 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    #[inline]
     fn varint(&mut self) -> Result<u64, JournalDecodeError> {
+        // Most fields (kinds' small ids, vtime deltas) fit one byte.
+        if let Some(&b) = self.bytes.get(self.pos) {
+            if b < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
+        self.varint_slow()
+    }
+
+    fn varint_slow(&mut self) -> Result<u64, JournalDecodeError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -1153,6 +1232,78 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         let j = sample().encode();
         assert_ne!(crc32(&j), crc32(&j[..j.len() - 1]));
+    }
+
+    /// The bit-at-a-time CRC-32 the table-driven [`crc32`] must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc32_equals_the_bitwise_reference() {
+        use simrng::{Rng, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from_u64(0xC3C3);
+        let mut buf = vec![0u8; (1 << 20) + 7];
+        for b in &mut buf {
+            *b = rng.next_u64() as u8;
+        }
+        // Every start offset mod 8 against every length through the
+        // 8-byte body and the remainder tail, then one ~1 MB buffer.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
+            let s = &buf[start..start + (1 << 20) - start];
+            assert_eq!(crc32(s), crc32_bitwise(s), "start {start}, ~1 MB");
+        }
+    }
+
+    /// `magic, 0 meta, 0 labels, count = 2^40`, then `terminates`
+    /// Terminate entries (two bytes each).
+    fn huge_count_input(terminates: usize) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(JOURNAL_MAGIC);
+        put_varint(&mut bytes, 0);
+        put_varint(&mut bytes, 0);
+        put_varint(&mut bytes, 1 << 40);
+        for _ in 0..terminates {
+            put_entry(&mut bytes, 0, &JournalEvent::Terminate);
+        }
+        bytes
+    }
+
+    #[test]
+    fn an_untrusted_entry_count_reserves_at_most_what_the_input_can_hold() {
+        let bytes = huge_count_input(1);
+        assert_eq!(bytes.len(), 17);
+        let err = Journal::decode(&bytes).unwrap_err();
+        assert_eq!(err.offset, 17);
+        assert!(err.reason.contains("end of input"), "{}", err.reason);
+
+        // The batch path: the reservation survives the failed append (the
+        // entries are truncated, the capacity is not), so it is visible.
+        let batch_start = JOURNAL_MAGIC.len() + 2;
+        let bytes = huge_count_input(1000);
+        let batch = &bytes[batch_start..];
+        let mut j = Journal::new();
+        let err = j.append_entry_batch(batch).unwrap_err();
+        assert!(err.reason.contains("end of input"), "{}", err.reason);
+        assert!(j.is_empty());
+        let remaining = batch.len() - 6; // after the 6-byte count varint
+        assert!(
+            j.entries.capacity() <= remaining / 2,
+            "reserved {} entries for {remaining} bytes",
+            j.entries.capacity()
+        );
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Golden-output guard for the simulator core: bit-exact digests of small
-//! LU predictions and one seeded testbed measurement.
+//! Golden-output guard for the simulator core and the durable journal:
+//! bit-exact digests of small LU predictions, one seeded testbed
+//! measurement, and one durable service run's WAL and journal bytes.
 //!
 //! Each digest is `byte length:crc32` of the run's canonical report (for
-//! the predictions, with the factorization time's bit pattern appended).
-//! Any rework of `ProgressSet`, `netmodel::Network` or the engine's CPU
-//! model must reproduce them byte for byte; a digest may only change
-//! together with a deliberate, documented change of the model.
+//! the predictions, with the factorization time's bit pattern appended),
+//! or of the encoded bytes. Any rework of `ProgressSet`,
+//! `netmodel::Network`, the engine's CPU model or the journal/WAL codec
+//! must reproduce them byte for byte; a digest may only change together
+//! with a deliberate, documented change of the model or the format.
 
 use dvns::desim::{crc32, SimDuration};
 use dvns::faults::FaultGenConfig;
@@ -91,4 +93,34 @@ fn seeded_testbed_measurement_is_pinned() {
     let (app, _shared) = build_lu_app(lu_cfg());
     let report = dvns::testbed::measure(&app, TestbedParams::sun_cluster(), 11, &simcfg()).unwrap();
     assert_eq!(digest(&report.canonical_string()), "1487:a0b918d1");
+}
+
+/// 2,000 seeded `server-scale` jobs served durably under the chaos
+/// harness's group-commit cadence: the WAL bytes and the monolithic
+/// journal encoding are pinned, so any rework of the journal codec or the
+/// WAL framing must write the same bytes.
+#[test]
+fn durable_serve_wal_and_journal_bytes_are_pinned() {
+    use dvns::cluster_svc::{ClusterService, DurabilitySpec, ServeOptions};
+    use dvns::faults::FaultPlan;
+    use dvns::workload::{server_scale_config, server_scale_load, CHAOS_GROUP_EVENTS};
+
+    let svc = ClusterService::new(server_scale_config(2)).unwrap();
+    let (out, wal) = svc
+        .serve_durable(
+            server_scale_load(2_000, 7),
+            &FaultPlan::none(),
+            &ServeOptions::default(),
+            &DurabilitySpec::group_commit(CHAOS_GROUP_EVENTS),
+        )
+        .unwrap();
+    let journal = out.journal.expect("durable serves record the journal");
+    assert!(
+        wal.frames() > 2,
+        "want several frames, got {}",
+        wal.frames()
+    );
+    let bytes_digest = |b: &[u8]| format!("{}:{:08x}", b.len(), crc32(b));
+    assert_eq!(bytes_digest(wal.bytes()), "98744:921322f7");
+    assert_eq!(bytes_digest(&journal.encode()), "98708:6176b01f");
 }
